@@ -40,50 +40,52 @@ chaos:
 
 # Benchmark suite: regenerates the paper's tables/figures and the serving
 # throughput reports into results/*.txt (includes bench-train and bench-rank).
+# Only the bench* targets pass --publish-results: `make test` runs the same
+# asserts but leaves results/ untouched.
 bench:
-	$(PYTHON) -m pytest benchmarks/ -q
+	$(PYTHON) -m pytest benchmarks/ -q --publish-results
 
 # Training-throughput benchmark only: looped vs fused negative sampling
 # (writes results/training_throughput.txt).
 bench-train:
-	$(PYTHON) -m pytest benchmarks/test_training_throughput.py -q
+	$(PYTHON) -m pytest benchmarks/test_training_throughput.py -q --publish-results
 
 # Candidate-ranking benchmark only: naive per-candidate scoring vs the
 # rank_candidates fast path (writes results/ranking_throughput.txt).
 bench-rank:
-	$(PYTHON) -m pytest benchmarks/test_ranking_throughput.py -q
+	$(PYTHON) -m pytest benchmarks/test_ranking_throughput.py -q --publish-results
 
 # Retrieval benchmark only: exact vs IVF search throughput + recall@100, and
 # the end-to-end retrieve->rank pipeline vs brute-force full-catalog ranking
 # (writes results/retrieval_throughput.txt).
 bench-retrieve:
-	$(PYTHON) -m pytest benchmarks/test_retrieval_throughput.py -q
+	$(PYTHON) -m pytest benchmarks/test_retrieval_throughput.py -q --publish-results
 
 # Serving benchmark only: single vs batched vs cached request throughput, and
 # the generic HeadRegistry dispatcher vs the hardcoded serving path (<5%
 # overhead asserted; writes results/serving_throughput.txt and
 # results/serving_protocol_overhead.txt).
 bench-serve:
-	$(PYTHON) -m pytest benchmarks/test_serving_throughput.py -q
+	$(PYTHON) -m pytest benchmarks/test_serving_throughput.py -q --publish-results
 
 # Concurrent-serving benchmark only: the serial router loop vs the concurrent
 # runtime at several worker counts (+ cross-envelope coalescing) under
 # mixed-head traffic; reports p50/p99 latency and throughput, asserts byte
 # parity with the serial path (writes results/serving_concurrency.txt).
 bench-concurrency:
-	$(PYTHON) -m pytest benchmarks/test_serving_concurrency.py -q
+	$(PYTHON) -m pytest benchmarks/test_serving_concurrency.py -q --publish-results
 
 # Durability benchmark only: WAL-on vs WAL-off serving throughput (the <10%
 # overhead budget) and crash-recovery time at a 100k-event log (writes
 # results/serving_durability.txt).
 bench-durability:
-	$(PYTHON) -m pytest benchmarks/test_serving_durability.py -q
+	$(PYTHON) -m pytest benchmarks/test_serving_durability.py -q --publish-results
 
 # Online-learning benchmark only: log-to-gradient throughput (WAL tail +
 # example build, events/s floor asserted) and the end-to-end retrain wall
 # time at a 100k-event log (writes results/online_learning.txt).
 bench-online:
-	$(PYTHON) -m pytest benchmarks/test_online_learning.py -q
+	$(PYTHON) -m pytest benchmarks/test_online_learning.py -q --publish-results
 
 # Fail if the documented code blocks have drifted from the public API:
 # extracts and executes every ```python fence in the README and the

@@ -170,8 +170,9 @@ def test_retrieve_then_rank_end_to_end(benchmark):
             users.append((np.array([user, int(catalog[0])], dtype=np.int64), history))
 
         def brute_force(profile, history):
-            # Exact score of every catalog item, chunked so the (C, T, T)
-            # cross-view score tensor stays within a fixed memory budget.
+            # Exact score of every catalog item, chunked so the per-candidate
+            # cross-view blocks — the (C, n°, T) static-row scores and the
+            # (C, T, d) attended rows — stay within a fixed memory budget.
             plan = engine.prepare_ranking(profile, history)
             scores = np.concatenate([
                 engine.rank_candidates(profile, chunk, plan=plan)
@@ -237,8 +238,7 @@ def test_retrieve_then_rank_end_to_end(benchmark):
     path = RESULTS_DIR / "retrieval_throughput.txt"
     existing = path.read_text() if path.exists() else ""
     head = existing.split("End-to-end top-", 1)[0].rstrip("\n")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text((head + "\n\n" if head else "") + report + "\n")
+    export_text("retrieval_throughput", (head + "\n\n" if head else "") + report)
 
     # ISSUE acceptance: the ExactIndex pipeline's top-K equals brute force to
     # 1e-10 (the surrogate shortlist covers the true winners on this catalog).

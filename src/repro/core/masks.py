@@ -11,27 +11,36 @@ intra-view pooling.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 #: Finite stand-in for the paper's −∞ mask entries.
 NEG_INF = -1e9
 
 
+@lru_cache(maxsize=64)
 def causal_mask(seq_len: int) -> np.ndarray:
-    """Dynamic-view mask M˙ (Eq. 10): position i may attend to j only if j ≤ i."""
+    """Dynamic-view mask M˙ (Eq. 10): position i may attend to j only if j ≤ i.
+
+    Built once per length and shared: the returned array is read-only.
+    """
     if seq_len < 1:
         raise ValueError("seq_len must be positive")
     mask = np.full((seq_len, seq_len), NEG_INF, dtype=np.float64)
     mask[np.tril_indices(seq_len)] = 0.0
+    mask.flags.writeable = False
     return mask
 
 
+@lru_cache(maxsize=64)
 def cross_view_mask(num_static: int, seq_len: int) -> np.ndarray:
     """Cross-view mask M* (Eq. 13).
 
     Rows/columns 0..num_static-1 are static features, the rest dynamic.  Entry
     (i, j) is 0 only when exactly one of i, j is static — the mask blocks all
-    within-category interactions and keeps only static↔dynamic ones.
+    within-category interactions and keeps only static↔dynamic ones.  Built
+    once per size and shared: the returned array is read-only.
     """
     if num_static < 1 or seq_len < 1:
         raise ValueError("view sizes must be positive")
@@ -39,7 +48,8 @@ def cross_view_mask(num_static: int, seq_len: int) -> np.ndarray:
     is_static = np.arange(total) < num_static
     allowed = is_static[:, None] != is_static[None, :]
     mask = np.where(allowed, 0.0, NEG_INF)
-    return mask.astype(np.float64)
+    mask.flags.writeable = False
+    return mask
 
 
 def padding_key_mask(valid_mask: np.ndarray) -> np.ndarray:

@@ -47,16 +47,19 @@ def cross_attention_mask(
     seq_len: int,
     combined_valid: np.ndarray,
     full_attention: bool = False,
+    query_rows: Optional[int] = None,
 ) -> np.ndarray:
     """Per-batch mask of the cross view (Eq. 13): cross-only + padding keys.
 
     ``full_attention`` drops the cross-only restriction (ablation variant) and
-    keeps just the padding mask.
+    keeps just the padding mask, which broadcasts over every query row.
+    ``query_rows`` keeps only the first rows of the cross-only mask (the
+    ranking path needs the n° static query rows alone).
     """
     padding = mask_lib.padding_key_mask(combined_valid)
     if full_attention:
         return padding
-    cross = mask_lib.cross_view_mask(num_static, seq_len)[None, :, :]
+    cross = mask_lib.cross_view_mask(num_static, seq_len)[None, :query_rows, :]
     return mask_lib.combine_masks(cross, padding)
 
 

@@ -21,14 +21,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with max-subtraction for stability.
+def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` with max-subtraction for stability.
 
     Mirrors :func:`repro.autograd.functional.softmax`.
     """
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - scores.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def attention_scores(

@@ -116,6 +116,12 @@ class ItemIndex:
         partition of each catalog row, and the position of each partition's
         representative (the member nearest its centroid).  ``None`` until
         built; persisted by :meth:`save`.
+    fit_positions / fit_pinv:
+        The query encoder's fitting set — the probe positions followed by
+        the representative positions when partitioned — and the ``(d + 1,
+        p)`` pseudo-inverse of its design matrix ``[e_i, 1]``.  Both depend
+        only on the index, so they are derived once per index (construction,
+        :meth:`load`, :meth:`build_partitions`), never per request.
 
     An index is a *snapshot*: rebuilding after a checkpoint reload is the
     caller's job (:meth:`repro.serving.registry.ModelRegistry.build_index`
@@ -162,6 +168,27 @@ class ItemIndex:
                 "centroids, assignments and representative_positions must be "
                 "given together (or all omitted)"
             )
+        self._prepare_query_fit()
+
+    def _prepare_query_fit(self) -> None:
+        """Derive :attr:`fit_positions` and :attr:`fit_pinv` (see the class doc).
+
+        The pseudo-inverse uses the cutoff of ``np.linalg.lstsq(rcond=None)``
+        — singular values at or below ``eps · max(p, d + 1) · σ_max`` are
+        dropped — so ``fit_pinv @ target`` is the minimum-norm least-squares
+        solution ``lstsq`` would return, up to rounding.
+        """
+        if self.has_partitions:
+            positions = np.concatenate([self.probe_positions, self.representative_positions])
+        else:
+            positions = self.probe_positions
+        design = np.concatenate(
+            [self.embeddings[positions], np.ones((positions.shape[0], 1))], axis=1
+        )
+        self.fit_positions = positions
+        self.fit_pinv = np.linalg.pinv(
+            design, rcond=np.finfo(np.float64).eps * max(design.shape)
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -302,6 +329,7 @@ class ItemIndex:
         self.centroids = centroids
         self.assignments = assignments
         self.representative_positions = representatives
+        self._prepare_query_fit()
         return self
 
     def save(self, path: PathLike) -> Path:

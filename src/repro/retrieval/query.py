@@ -18,7 +18,11 @@ scoring function for one user, empirically rather than analytically:
    untouched);
 3. least-squares fit ``score(i) ≈ q · e_i + w_i + b`` over those exact
    scores, where ``e_i``/``w_i`` are the item's embedding row and linear
-   weight already in the index;
+   weight already in the index.  The design matrix ``[e_i, 1]`` depends only
+   on the index, so its pseudo-inverse is computed **once per index** (at
+   build, load or partitioning — :attr:`ItemIndex.fit_pinv`, with the
+   ``lstsq(rcond=None)`` cutoff) and each user's fit is a single
+   ``(d + 1) × (p + n_partitions)`` matrix-vector product;
 4. calibrate a **per-partition offset** — the representative's exact score
    minus its surrogate score.  The global fit captures the model's average
    linear response; the offsets capture the cluster-level nonlinearity (the
@@ -29,8 +33,8 @@ scoring function for one user, empirically rather than analytically:
 Searching the index with the augmented vector ``[q, 1]`` plus the offsets
 ranks the whole catalog by ``q·e_i + w_i + b + offset(partition(i))`` in one
 blocked (or IVF-pruned) sweep.  The per-query cost is one fast-path call over
-``p + n_partitions`` candidates plus a ``(p + n_partitions) × (d + 1)``
-solve — independent of catalog size.
+``p + n_partitions`` candidates plus that product — independent of catalog
+size.
 
 The surrogate is a retrieval heuristic, never a scoring shortcut: the final
 ranking always comes from the exact engine
@@ -123,24 +127,13 @@ class QueryEncoder:
         if plan is None:
             plan = self.engine.prepare_ranking(static_profile, history, history_mask)
         index = self.index
-        probe_positions = index.probe_positions
-        num_probes = probe_positions.shape[0]
-        if index.has_partitions:
-            positions = np.concatenate(
-                [probe_positions, index.representative_positions]
-            )
-        else:
-            positions = probe_positions
+        positions = index.fit_positions
         exact_scores = self.engine.rank_candidates(
             plan.static_profile, index.item_ids[positions], plan=plan
         )
-        # Fit score ≈ q·e + w + b  ⇔  (score − w) ≈ [e, 1] @ [q; b]
-        embeddings = index.embeddings[positions]
-        design = np.concatenate(
-            [embeddings, np.ones((embeddings.shape[0], 1))], axis=1
-        )
-        target = exact_scores - index.weights[positions]
-        solution, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        # Fit score ≈ q·e + w + b  ⇔  (score − w) ≈ [e, 1] @ [q; b], solved
+        # with the design's pseudo-inverse the index derived once.
+        solution = index.fit_pinv @ (exact_scores - index.weights[positions])
         q, bias = solution[:-1], float(solution[-1])
         vector = np.concatenate([q, [1.0]])
 
@@ -149,6 +142,7 @@ class QueryEncoder:
         if index.has_partitions:
             # offset_p = exact(rep_p) − surrogate(rep_p): the cluster-level
             # correction the linear functional cannot express.
+            num_probes = index.probe_positions.shape[0]
             rep_exact = exact_scores[num_probes:]
             rep_surrogate = surrogate[num_probes:]
             partition_offsets = rep_exact - rep_surrogate

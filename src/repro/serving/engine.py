@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.masks import padding_key_mask
 from repro.core.model import SeqFM
 from repro.core.views import cross_attention_mask, cross_valid_mask, dynamic_attention_mask
 from repro.data.features import FeatureBatch, FeatureEncoder, pad_sequences
@@ -43,9 +44,11 @@ class RankingPlan:
     * the padded history encoding and its dynamic linear-term sum;
     * the dynamic view evaluated end to end (attention + pooling + FFN) —
       the n˙²-cost block of the model;
-    * the cross-view Q/K/V projections of the history rows, the shared
-      history↔history score block, and the (candidate-independent) cross
-      attention mask.
+    * the cross-view Q/K/V projections of the history rows, the additive
+      mask of the n° static query rows, and — only for the
+      ``full_attention`` ablation, where history rows may attend to history
+      keys — the masked history↔history score block.  The cross-only model
+      (Eq. 13) masks that block entirely, so it is never computed.
 
     A plan snapshots projections of the *current* weights; after a registry
     hot-reload build a fresh plan (``rank_candidates`` without an explicit
@@ -61,8 +64,8 @@ class RankingPlan:
     cross_q_dyn: Optional[np.ndarray]       # (n, d) history queries
     cross_k_dyn: Optional[np.ndarray]       # (n, d) history keys
     cross_v_dyn: Optional[np.ndarray]       # (n, d) history values
-    cross_dyn_dyn_scores: Optional[np.ndarray]  # (n, n) scaled Q˙K˙ᵀ block
-    cross_mask: Optional[np.ndarray]        # (1, T, T) additive attention mask
+    cross_static_mask: Optional[np.ndarray]  # (1, n°, T) static query rows; (1, 1, T) if full
+    cross_history_keys: Optional[np.ndarray]  # (n, n) masked Q˙K˙ᵀ block, full attention only
     cross_valid: Optional[np.ndarray]       # (1, T) combined validity mask
 
 
@@ -150,8 +153,10 @@ class InferenceEngine:
 
         All candidate-independent work happens here, once: the dynamic
         embeddings, the full dynamic view (attention + pooling + FFN), the
-        dynamic linear sum, and the cross-view Q/K/V projections of the
-        history rows plus their shared history↔history score block.
+        dynamic linear sum, the cross-view Q/K/V projections of the history
+        rows and the mask rows of the static queries.  The history↔history
+        score block is built only for a ``full_attention`` cross view; the
+        cross-only mask blocks it, so the ranking path never needs it.
         """
         model = self._model
         # asarray without a dtype so a float/bool input reaches the dtype
@@ -191,7 +196,8 @@ class InferenceEngine:
         )
 
         dynamic_refined: Optional[np.ndarray] = None
-        cross_q = cross_k = cross_v = cross_dd = cross_mask = cross_valid = None
+        cross_q = cross_k = cross_v = None
+        cross_static_mask = cross_history_keys = cross_valid = None
         needs_dynamic_embeddings = (
             model.dynamic_view is not None or model.cross_view is not None
         )
@@ -205,19 +211,26 @@ class InferenceEngine:
 
         if model.cross_view is not None:
             attention = model.cross_view.attention
+            full_attention = model.cross_view.full_attention
+            num_static = profile.shape[0]
             rows = dynamic_embedded[0]  # (n, d)
             cross_q, cross_k, cross_v = kernels.project_qkv(
                 rows, attention.w_query.data, attention.w_key.data, attention.w_value.data
             )
-            d = rows.shape[-1]
-            cross_dd = cross_q @ cross_k.T * (1.0 / np.sqrt(d))
-            cross_valid = cross_valid_mask(profile.shape[0], mask)
-            cross_mask = cross_attention_mask(
-                profile.shape[0],
+            cross_valid = cross_valid_mask(num_static, mask)
+            cross_static_mask = cross_attention_mask(
+                num_static,
                 dynamic.shape[1],
                 cross_valid,
-                full_attention=model.cross_view.full_attention,
+                full_attention=full_attention,
+                query_rows=num_static,
             )
+            if full_attention:
+                d = rows.shape[-1]
+                cross_history_keys = (
+                    cross_q @ cross_k.T * (1.0 / np.sqrt(d))
+                    + padding_key_mask(mask)[0]
+                )
 
         return RankingPlan(
             static_profile=profile,
@@ -229,8 +242,8 @@ class InferenceEngine:
             cross_q_dyn=cross_q,
             cross_k_dyn=cross_k,
             cross_v_dyn=cross_v,
-            cross_dyn_dyn_scores=cross_dd,
-            cross_mask=cross_mask,
+            cross_static_mask=cross_static_mask,
+            cross_history_keys=cross_history_keys,
             cross_valid=cross_valid,
         )
 
@@ -376,42 +389,71 @@ class InferenceEngine:
     def _cross_view_from_plan(
         self, static_embedded: np.ndarray, plan: RankingPlan
     ) -> np.ndarray:
-        """Cross-view pooled representation with the history K/V cached.
+        """Cross-view pooled representation, in query-row blocks.
 
-        Assembles the (C, T, T) score matrix from four blocks — only the
-        blocks touching a static row involve per-candidate work; the
-        history↔history block comes precomputed from the plan — then runs the
-        exact softmax → weighted-values → masked-pool sequence of
-        :meth:`_cross_view`.
+        The cross-only mask (Eq. 13) lets a static query attend only to
+        history keys and a history query only to static keys, so the (C, T,
+        T) score matrix of :meth:`_cross_view` is never assembled:
+
+        * the n° static query rows keep their full (C, n°, T) masked softmax
+          — with an empty history every key is masked and the softmax is
+          the near-uniform one of the full matrix;
+        * the n history query rows softmax over the n° static keys only (plus
+          the plan's masked history keys under ``full_attention``).  Their
+          masked history-key weights are exactly 0.0 in the full matrix, so
+          dropping them changes no bit of the result.
+
+        The attended (C, T, d) rows then go through the same masked pooling
+        as :meth:`_cross_view`.  For n° ≤ 3 static features the output is
+        bitwise equal to softmaxing the assembled (C, T, T) matrix (pinned
+        by ``tests/test_ranking_fastpath.py``); wider profiles sum the
+        history rows' softmax denominators in another order, a few ulps off.
         """
         attention = self._model.cross_view.attention
         num_candidates, num_static, d = static_embedded.shape
-        seq_len = plan.cross_k_dyn.shape[0]
         scale = 1.0 / np.sqrt(d)
 
         q_static, k_static, v_static = kernels.project_qkv(
             static_embedded,
             attention.w_query.data, attention.w_key.data, attention.w_value.data,
         )  # each (C, n°, d)
+        k_static_t = np.swapaxes(k_static, -1, -2)
+        # The (C, T, d) attended rows, written block by block in place.
+        attended = np.empty((num_candidates, plan.cross_valid.shape[1], d))
 
-        total = num_static + seq_len
-        scores = np.empty((num_candidates, total, total), dtype=np.float64)
-        scores[:, :num_static, :num_static] = (
-            q_static @ np.swapaxes(k_static, -1, -2) * scale
-        )
-        scores[:, :num_static, num_static:] = q_static @ plan.cross_k_dyn.T * scale
-        scores[:, num_static:, :num_static] = (
-            plan.cross_q_dyn[None] @ np.swapaxes(k_static, -1, -2) * scale
-        )
-        scores[:, num_static:, num_static:] = plan.cross_dyn_dyn_scores
+        def attend_all_keys(weights: np.ndarray, out: np.ndarray) -> None:
+            # Weights over [static keys | history keys]; the history V rows
+            # stay one shared (n, d) operand, never copied per candidate.
+            np.add(
+                weights[..., :num_static] @ v_static,
+                weights[..., num_static:] @ plan.cross_v_dyn,
+                out=out,
+            )
 
-        weights = kernels.softmax(scores + plan.cross_mask)
-        # Blocked weighted sum: the history V rows stay one shared (n, d)
-        # operand instead of being copied out to every candidate row.
-        attended = (
-            weights[:, :, :num_static] @ v_static
-            + weights[:, :, num_static:] @ plan.cross_v_dyn
+        static_scores = np.concatenate(
+            [q_static @ k_static_t * scale, q_static @ plan.cross_k_dyn.T * scale],
+            axis=-1,
         )
+        attend_all_keys(
+            kernels.softmax(static_scores + plan.cross_static_mask),
+            attended[:, :num_static],
+        )
+
+        history_scores = plan.cross_q_dyn[None] @ k_static_t * scale  # (C, n, n°)
+        if plan.cross_history_keys is None:
+            # Softmax down the n°-long key axis of a key-major copy: a few
+            # long vectorised passes instead of C·n tiny row reductions.
+            key_major = np.ascontiguousarray(np.swapaxes(history_scores, -1, -2))
+            history_weights = np.swapaxes(kernels.softmax(key_major, axis=-2), -1, -2)
+            np.matmul(history_weights, v_static, out=attended[:, num_static:])
+        else:
+            history_keys = np.broadcast_to(
+                plan.cross_history_keys, (num_candidates,) + plan.cross_history_keys.shape
+            )
+            attend_all_keys(
+                kernels.softmax(np.concatenate([history_scores, history_keys], axis=-1)),
+                attended[:, num_static:],
+            )
         return kernels.masked_mean_pool(attended, plan.cross_valid, axis=-2)
 
     # ------------------------------------------------------------------ #

@@ -60,6 +60,33 @@ class TestCrossViewMask:
             cross_view_mask(3, 0)
 
 
+class TestMaskCache:
+    def test_causal_mask_cached_read_only_and_fresh(self):
+        mask = causal_mask(6)
+        assert causal_mask(6) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 1] = 0.0
+        fresh = np.full((6, 6), NEG_INF)
+        fresh[np.tril_indices(6)] = 0.0
+        np.testing.assert_array_equal(mask, fresh)
+
+    def test_cross_view_mask_cached_read_only_and_fresh(self):
+        mask = cross_view_mask(2, 4)
+        assert cross_view_mask(2, 4) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = 0.0
+        is_static = np.arange(6) < 2
+        fresh = np.where(is_static[:, None] != is_static[None, :], 0.0, NEG_INF)
+        np.testing.assert_array_equal(mask, fresh)
+
+    def test_sizes_cached_independently(self):
+        assert causal_mask(3).shape == (3, 3) and causal_mask(4).shape == (4, 4)
+        assert cross_view_mask(3, 2).shape == (5, 5)
+        np.testing.assert_array_equal(cross_view_mask(3, 2)[:3, :3], NEG_INF)
+
+
 class TestPaddingKeyMask:
     def test_blocks_padding_columns(self):
         valid = np.array([[1.0, 1.0, 0.0]])

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import SeqFMConfig
 from repro.core.model import SeqFM
+from repro.core.views import cross_attention_mask
 from repro.data.features import FeatureBatch, FeatureEncoder, pad_sequences
 from repro.nn import kernels
 from repro.serving import (
@@ -268,6 +269,133 @@ class TestRankCandidatesParity:
             engine.prepare_ranking(np.array([1, 0]), [999999])
         with pytest.raises(IndexError):
             engine.rank_candidates(np.array([1, 0]), [999999], [])
+
+
+# --------------------------------------------------------------------------- #
+# Block cross view: bitwise equal to the full (C, T, T) assembly
+# --------------------------------------------------------------------------- #
+class FourBlockEngine(InferenceEngine):
+    """The reference: the cross view of the ranking path as one (C, T, T)
+    score matrix assembled from four blocks, softmaxed and multiplied whole."""
+
+    def _cross_view_from_plan(self, static_embedded, plan):
+        view = self._model.cross_view
+        attention = view.attention
+        num_candidates, num_static, d = static_embedded.shape
+        seq_len = plan.cross_k_dyn.shape[0]
+        scale = 1.0 / np.sqrt(d)
+        q_static, k_static, v_static = kernels.project_qkv(
+            static_embedded,
+            attention.w_query.data, attention.w_key.data, attention.w_value.data,
+        )
+        total = num_static + seq_len
+        scores = np.empty((num_candidates, total, total), dtype=np.float64)
+        scores[:, :num_static, :num_static] = (
+            q_static @ np.swapaxes(k_static, -1, -2) * scale
+        )
+        scores[:, :num_static, num_static:] = q_static @ plan.cross_k_dyn.T * scale
+        scores[:, num_static:, :num_static] = (
+            plan.cross_q_dyn[None] @ np.swapaxes(k_static, -1, -2) * scale
+        )
+        scores[:, num_static:, num_static:] = plan.cross_q_dyn @ plan.cross_k_dyn.T * scale
+        mask = cross_attention_mask(num_static, seq_len, plan.cross_valid,
+                                    full_attention=view.full_attention)
+        weights = kernels.softmax(scores + mask)
+        attended = (
+            weights[:, :, :num_static] @ v_static
+            + weights[:, :, num_static:] @ plan.cross_v_dyn
+        )
+        return kernels.masked_mean_pool(attended, plan.cross_valid, axis=-2)
+
+
+class TestBlockCrossViewBitwise:
+    @pytest.mark.parametrize("num_static", [2, 3])
+    @pytest.mark.parametrize("embed_dim,max_seq_len", [(8, 8), (16, 8), (32, 20)])
+    @pytest.mark.parametrize("history_length", [0, 1, 5, 8, 20, 45])
+    def test_rank_candidates_bitwise_equal_to_full_matrix(
+            self, num_static, embed_dim, max_seq_len, history_length):
+        config = SeqFMConfig(**{**BASE, "embed_dim": embed_dim, "max_seq_len": max_seq_len})
+        model = trained_like(config, seed=num_static + embed_dim + history_length)
+        engine, reference = InferenceEngine(model), FourBlockEngine(model)
+        rng = np.random.default_rng(history_length)
+        profile = rng.integers(0, config.static_vocab_size, num_static, dtype=np.int64)
+        history = rng.integers(1, config.dynamic_vocab_size, history_length).tolist()
+        for num_candidates in (1, 7, 300):
+            candidates = rng.integers(0, config.static_vocab_size, num_candidates,
+                                      dtype=np.int64)
+            for slot in (0, num_static - 1):
+                np.testing.assert_array_equal(
+                    engine.rank_candidates(profile, candidates, history,
+                                           candidate_slot=slot),
+                    reference.rank_candidates(profile, candidates, history,
+                                              candidate_slot=slot),
+                )
+
+    @pytest.mark.parametrize("num_static", [4, 6])
+    def test_wider_profiles_within_parity(self, num_static):
+        """Beyond three static features the history rows' softmax sums run
+        in a different order than the full matrix's — ulps, not bits."""
+        config = SeqFMConfig(**BASE)
+        model = trained_like(config)
+        rng = np.random.default_rng(num_static)
+        profile = rng.integers(0, config.static_vocab_size, num_static, dtype=np.int64)
+        candidates = rng.integers(0, config.static_vocab_size, 40, dtype=np.int64)
+        np.testing.assert_allclose(
+            InferenceEngine(model).rank_candidates(profile, candidates, [2, 7, 5]),
+            FourBlockEngine(model).rank_candidates(profile, candidates, [2, 7, 5]),
+            rtol=0.0, atol=ATOL,
+        )
+
+    def test_padded_history_input_bitwise_equal(self):
+        config = SeqFMConfig(**BASE)
+        model = trained_like(config)
+        dynamic, mask = pad_sequences([[4, 2, 9]], config.max_seq_len)
+        candidates = np.arange(config.static_vocab_size, dtype=np.int64)
+        np.testing.assert_array_equal(
+            InferenceEngine(model).rank_candidates([5, 0], candidates, dynamic[0], mask[0]),
+            FourBlockEngine(model).rank_candidates([5, 0], candidates, dynamic[0], mask[0]),
+        )
+
+    def test_cross_only_plan_skips_history_block(self):
+        engine = InferenceEngine(trained_like(SeqFMConfig(**BASE)))
+        plan = engine.prepare_ranking([1, 0], [3, 4])
+        assert plan.cross_history_keys is None
+        assert plan.cross_static_mask.shape == (1, 2, 2 + BASE["max_seq_len"])
+
+
+class TestFullAttentionCrossView:
+    """The ``full_attention`` ablation lets history rows attend to history
+    keys; the block kernel keeps it exact through the plan's history block."""
+
+    @pytest.mark.parametrize("history_length", [0, 3, 8, 20])
+    def test_engine_matches_model_score(self, history_length):
+        config = SeqFMConfig(**BASE)
+        model = trained_like(config)
+        model.cross_view.full_attention = True
+        engine = InferenceEngine(model)
+        rng = np.random.default_rng(history_length)
+        profile = np.array([6, 0], dtype=np.int64)
+        history = rng.integers(1, config.dynamic_vocab_size, history_length).tolist()
+        candidates = rng.integers(0, config.static_vocab_size, 19, dtype=np.int64)
+        dynamic, mask = pad_sequences([history], config.max_seq_len)
+        batch = FeatureBatch.for_candidates(profile, candidates, dynamic[0], mask[0])
+        expected = model.score(batch)
+        np.testing.assert_allclose(engine.score(batch), expected, rtol=0.0, atol=ATOL)
+        np.testing.assert_allclose(engine.rank_candidates(profile, candidates, history),
+                                   expected, rtol=0.0, atol=ATOL)
+        np.testing.assert_array_equal(
+            engine.rank_candidates(profile, candidates, history),
+            FourBlockEngine(model).rank_candidates(profile, candidates, history),
+        )
+
+    def test_full_attention_changes_scores(self):
+        config = SeqFMConfig(**BASE)
+        model = trained_like(config)
+        candidates = np.arange(12, dtype=np.int64)
+        cross_only = InferenceEngine(model).rank_candidates([6, 0], candidates, [1, 2, 3])
+        model.cross_view.full_attention = True
+        full = InferenceEngine(model).rank_candidates([6, 0], candidates, [1, 2, 3])
+        assert not np.allclose(cross_only, full)
 
 
 # --------------------------------------------------------------------------- #

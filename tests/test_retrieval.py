@@ -430,6 +430,63 @@ class TestQueryEncoder:
         uncalibrated = QueryEncoder(engine, bare).encode(profile, history)
         assert uncalibrated.partition_offsets is None
 
+    def test_cached_pseudo_inverse_matches_lstsq(self, engine, index):
+        """The once-per-index fit solves the same least-squares problem."""
+        profile, history = user_request()
+        query = QueryEncoder(engine, index).encode(profile, history)
+        positions = index.fit_positions
+        np.testing.assert_array_equal(
+            positions,
+            np.concatenate([index.probe_positions, index.representative_positions]),
+        )
+        exact = engine.rank_candidates(profile, index.item_ids[positions], history)
+        design = np.concatenate(
+            [index.embeddings[positions], np.ones((positions.size, 1))], axis=1)
+        solution, _, _, _ = np.linalg.lstsq(design, exact - index.weights[positions],
+                                            rcond=None)
+        np.testing.assert_allclose(query.vector[:-1], solution[:-1], rtol=0.0, atol=1e-12)
+        assert query.bias == pytest.approx(solution[-1], abs=1e-12)
+
+    def test_rank_deficient_design_uses_lstsq_cutoff(self, engine):
+        """Duplicated embedding columns make the design rank deficient; the
+        pseudo-inverse still returns lstsq's minimum-norm solution."""
+        base = ItemIndex.from_model(engine, CATALOG, partition=False)
+        vectors = base.vectors.copy()
+        vectors[:, 1] = vectors[:, 0]
+        deficient = ItemIndex(base.item_ids, vectors, base.probe_positions)
+        design = np.concatenate(
+            [deficient.embeddings[deficient.fit_positions],
+             np.ones((deficient.fit_positions.size, 1))], axis=1)
+        target = np.random.default_rng(1).normal(size=deficient.fit_positions.size)
+        solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        assert rank < design.shape[1]
+        np.testing.assert_allclose(deficient.fit_pinv @ target, solution,
+                                   rtol=0.0, atol=1e-10)
+
+    def test_fit_operator_derived_once_per_index(self, engine, index, tmp_path,
+                                                 monkeypatch):
+        """Build and load derive the pseudo-inverse; requests and pipeline
+        construction never factorise anything."""
+        loaded = ItemIndex.load(index.save(tmp_path / "index.npz"))
+        np.testing.assert_array_equal(loaded.fit_positions, index.fit_positions)
+        np.testing.assert_allclose(loaded.fit_pinv, index.fit_pinv, rtol=0.0, atol=0.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("query fit factorised per request")
+
+        monkeypatch.setattr(np.linalg, "pinv", forbidden)
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        profile, history = user_request()
+        pipeline = RetrievePipeline(engine, ExactIndex(loaded))
+        assert len(pipeline.retrieve_then_rank(profile, 5, history)) == 5
+
+    def test_repartition_refreshes_fit_operator(self, engine):
+        built = ItemIndex.from_model(engine, CATALOG, partition=False)
+        assert built.fit_pinv.shape == (CONFIG.embed_dim + 1, built.probe_positions.size)
+        built.build_partitions(n_partitions=4)
+        assert built.fit_positions.size == built.probe_positions.size + built.n_partitions
+        assert built.fit_pinv.shape == (CONFIG.embed_dim + 1, built.fit_positions.size)
+
     def test_calibration_recovers_clustered_winners(self):
         """On a clustered catalog the per-partition offsets are load-bearing:
         the calibrated shortlist covers the true top-10 where the plain
